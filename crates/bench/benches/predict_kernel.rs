@@ -10,7 +10,7 @@
 //!   fan-in;
 //! - `batch256`: 256 warm queries (small and wide evidence interleaved)
 //!   folded through one reusable scratch — the batched-warm-predict
-//!   steady state of a shard worker, where the ≥2× target is set.
+//!   steady state of a serving thread, where the ≥2× target is set.
 //!
 //! Both sides answer through their reusable-scratch entry points so the
 //! comparison is kernel vs kernel, not allocator vs allocator. A second
@@ -119,13 +119,13 @@ fn bench_predict_kernel(c: &mut Criterion) {
     build.bench_function("load_with_cmpl", |b| {
         b.iter(|| {
             let snapshot = ModelSnapshot::from_binary_bytes(&bytes_with_cmpl).unwrap();
-            ServableModel::from_snapshot(snapshot).cache_prefix()
+            ServableModel::from_snapshot(snapshot)
         })
     });
     build.bench_function("load_compile_fallback", |b| {
         b.iter(|| {
             let snapshot = ModelSnapshot::from_binary_bytes(&bytes_without_cmpl).unwrap();
-            ServableModel::from_snapshot(snapshot).cache_prefix()
+            ServableModel::from_snapshot(snapshot)
         })
     });
     build.finish();

@@ -6,7 +6,7 @@
 //! throughput plus p50/p99 latency. Transports:
 //!
 //! - `engine` (default): clients call the in-process server API — measures
-//!   the shard/cache/batching engine itself;
+//!   the inline predict path itself;
 //! - `--tcp`: clients speak the length-prefixed JSON frame protocol to a
 //!   loopback listener — measures the full wire stack, served by
 //!   `--transport threads` (default) or `--transport events`.
@@ -35,14 +35,11 @@
 //! Usage: `cargo run --release -p gps-bench --bin loadgen -- [options]`
 //!
 //! ```text
-//! --shards N       server shards                    (default 8)
 //! --clients N      concurrent client threads        (default 8)
 //! --requests N     total requests                   (default 400000)
 //! --batch N        queries per batch request, 0=single (default 0)
-//! --subnets N      distinct query /16s per model, controls hit rate (default 64)
+//! --subnets N      distinct query /16s per model     (default 64)
 //! --models N       registered models, mixed traffic (default 1)
-//! --warm           pre-touch every subnet before timing (default on)
-//! --no-warm        measure cold, misses included
 //! --tcp            use the TCP transport
 //! --transport T    TCP serving transport: threads | events (default threads)
 //! --wire W         TCP wire format: json | binary | both (default json;
@@ -50,7 +47,7 @@
 //!                  traffic once per format and prints them side by side)
 //! --pipeline K     single-query mode: keep K requests in flight per
 //!                  thread (default 1 = classic closed loop; implies
-//!                  --tcp; capped at the server's 128-request window)
+//!                  --tcp)
 //! --connections N  open-loop mode: hold N connections, spread load (implies --tcp)
 //! --addr A         target an external server instead of self-hosting
 //! --seed N         universe seed (model i uses seed+i) (default 77)
@@ -63,8 +60,8 @@
 //! Before each wave the server's traffic counters and histograms are
 //! zeroed via the `reset-stats` admin command (in-process or over the
 //! wire), so a `--wire both` report carries one clean per-format
-//! server-side latency distribution per wave; cache contents and model
-//! generations are untouched, keeping every wave equally warm.
+//! server-side latency distribution per wave; model generations are
+//! untouched.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -81,13 +78,11 @@ use gps_types::rng::Rng;
 use gps_types::{HistogramSnapshot, Ip, JsonCodec};
 
 struct Options {
-    shards: usize,
     clients: usize,
     requests: u64,
     batch: usize,
     subnets: usize,
     models: usize,
-    warm: bool,
     tcp: bool,
     transport: String,
     wire: String,
@@ -101,13 +96,11 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            shards: 8,
             clients: 8,
             requests: 400_000,
             batch: 0,
             subnets: 64,
             models: 1,
-            warm: true,
             tcp: false,
             transport: "threads".to_string(),
             wire: "json".to_string(),
@@ -129,14 +122,11 @@ fn parse_options() -> Result<Options, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--shards" => options.shards = num(&value("--shards")?)?,
             "--clients" => options.clients = num(&value("--clients")?)?,
             "--requests" => options.requests = num(&value("--requests")?)?,
             "--batch" => options.batch = num(&value("--batch")?)?,
             "--subnets" => options.subnets = num(&value("--subnets")?)?,
             "--models" => options.models = num(&value("--models")?)?,
-            "--warm" => options.warm = true,
-            "--no-warm" => options.warm = false,
             "--tcp" => options.tcp = true,
             "--transport" => options.transport = value("--transport")?,
             "--wire" => options.wire = value("--wire")?,
@@ -177,9 +167,10 @@ fn parse_options() -> Result<Options, String> {
             return Err("--pipeline applies to single-query traffic (--batch 0)".to_string());
         }
         if options.pipeline > 128 {
-            // The server's per-connection pipeline window is 128; deeper
-            // client pipelines would measure server backpressure instead.
-            return Err("--pipeline is capped at 128 (the server's window)".to_string());
+            // A client writes its whole window before reading a reply;
+            // deeper windows would measure socket-buffer backpressure
+            // instead of the server.
+            return Err("--pipeline is capped at 128".to_string());
         }
     }
     if options.addr.is_some() && options.models > 1 {
@@ -217,7 +208,7 @@ fn make_unit(anchors: &[Ip], count: usize, rng: &mut Rng) -> Vec<Query> {
     (0..count)
         .map(|_| {
             let anchor = *rng.choose(anchors);
-            // Same /16, random low bits: exercises the per-subnet cache.
+            // Same /16, random low bits: the trained priors still apply.
             let ip = Ip((anchor.0 & 0xFFFF_0000) | (rng.next_u32() & 0xFFFF));
             let mut query = Query::new(ip);
             if rng.chance(0.2) {
@@ -375,10 +366,7 @@ fn main() {
                     .iter_mut()
                     .map(|t| (t.id.clone(), t.model.take().expect("trained once")))
                     .collect(),
-                ServeConfig {
-                    shards: options.shards,
-                    ..ServeConfig::default()
-                },
+                ServeConfig::default(),
             )
             .expect("registry starts"),
         ))
@@ -442,49 +430,6 @@ fn main() {
             units
         })
         .collect();
-
-    if options.warm {
-        if let Some(server) = &server {
-            // Touch every distinct cache slot the timed traffic will hit
-            // (dedup on the cache key granularity: model, subnet,
-            // evidence, top) so the timed section measures the cache-warm
-            // steady state.
-            let mut seen = std::collections::HashSet::new();
-            for unit in traffic.iter().flatten() {
-                let warmup: Vec<Query> = unit
-                    .queries
-                    .iter()
-                    .filter(|q| {
-                        seen.insert((
-                            unit.model,
-                            q.ip.0 & 0xFFFF_0000,
-                            q.open.clone(),
-                            q.asn,
-                            q.top,
-                        ))
-                    })
-                    .cloned()
-                    .collect();
-                if warmup.is_empty() {
-                    continue;
-                }
-                // Single predicts, not a batch: the single path runs
-                // through the transport-level L1 answer cache, so this
-                // seeds *both* cache layers and every timed wave —
-                // json first or binary first — starts equally warm.
-                for query in warmup {
-                    match id_of(unit.model) {
-                        None => {
-                            server.predict(query);
-                        }
-                        Some(id) => {
-                            server.predict_for(id, query).expect("warmup model");
-                        }
-                    }
-                }
-            }
-        }
-    }
 
     // Connection-scaling mode: every thread owns its share of the N
     // persistent connections and rotates its requests across them, so
@@ -691,10 +636,9 @@ fn main() {
     let mut waves: Vec<WaveResult> = Vec::new();
     for &wire in &wires {
         println!(
-            "replaying {} requests over {} clients ({} shards, {} model(s), batch={}, transport={}{}{})...",
+            "replaying {} requests over {} clients ({} model(s), batch={}, transport={}{}{})...",
             per_client * options.clients,
             options.clients,
-            options.shards,
             options.models,
             options.batch,
             match (options.tcp, external) {
@@ -716,8 +660,8 @@ fn main() {
         if options.pipeline > 1 {
             println!("  (pipeline depth {} per thread)", options.pipeline);
         }
-        // Zero counters + histograms before the wave (cache contents and
-        // generations survive), so the server-side distribution read
+        // Zero counters + histograms before the wave (generations
+        // survive), so the server-side distribution read
         // afterwards covers exactly this wave's traffic.
         match (&server, external) {
             (Some(server), _) => server.reset_stats(),
@@ -805,11 +749,8 @@ fn main() {
         (Some(server), _) => {
             let stats = server.stats();
             println!(
-                "  server:       {} served, cache hit rate {:.1}%, {:.2} requests/batch, mean queue+service {:.1}us",
-                stats.requests,
-                100.0 * stats.hit_rate(),
-                stats.requests as f64 / stats.batches.max(1) as f64,
-                stats.mean_latency_us,
+                "  server:       {} served, mean compute {:.1}us",
+                stats.requests, stats.mean_latency_us,
             );
             if options.tcp {
                 println!(
@@ -820,24 +761,9 @@ fn main() {
                     stats.conns_rejected,
                 );
             }
-            println!(
-                "  shard load:   [{}]",
-                stats
-                    .per_shard
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
             if options.models > 1 {
                 for model in &stats.models {
-                    println!(
-                        "  model {:<12} {} requests, hit rate {:.1}%",
-                        model.id,
-                        model.requests,
-                        100.0 * model.cache_hits as f64
-                            / (model.cache_hits + model.cache_misses).max(1) as f64,
-                    );
+                    println!("  model {:<12} {} requests", model.id, model.requests);
                 }
             }
         }
@@ -872,7 +798,6 @@ fn main() {
             )
             .set("clients", options.clients)
             .set("requests", Json::Num(options.requests as f64))
-            .set("shards", options.shards)
             .set("batch", options.batch)
             .set("pipeline", options.pipeline)
             .set(

@@ -150,7 +150,7 @@ impl WireLabel {
 }
 
 /// Which request shape, as a histogram/metric label. `Admin` covers
-/// everything that never reaches the shards (ping, stats, reload, ...).
+/// everything that is not a predict (ping, stats, reload, ...).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EndpointLabel {
     Single,

@@ -2,26 +2,22 @@
 //!
 //! A [`Conn`] owns one nonblocking socket and everything needed to resume
 //! it mid-anything: the incremental frame decoder (reads can tear frames
-//! at any byte), the response-ordering window (pipelined requests finish
-//! out of order across shards but must be answered in request order — the
-//! blocking `Client` relies on it), and the outbound buffer with explicit
-//! backpressure.
+//! at any byte) and the outbound buffer with explicit backpressure.
+//! Requests are answered as they are decoded, so responses reach the
+//! outbound buffer in request order — the blocking `Client` relies on it.
 //!
 //! ## Bounds
 //!
 //! Everything a peer can grow is capped:
 //!
 //! - the *inbound* side buffers at most one frame (the decoder), itself
-//!   capped at `MAX_FRAME_BYTES`;
-//! - at most [`MAX_PIPELINE`] requests may be awaiting answers — frames
-//!   a read burst decodes past that park (bounded by the burst) and the
-//!   connection's read interest drops, so the kernel's receive buffer,
-//!   and then the peer's congestion window, absorb the rest (TCP
-//!   backpressure, not server memory);
+//!   capped at `MAX_FRAME_BYTES`, and one readiness event decodes at most
+//!   [`READ_BUDGET`] bytes of requests;
 //! - once more than [`WRITE_HIGH_WATER`] response bytes are queued on a
-//!   connection, reading pauses the same way until the peer drains.
+//!   connection, its read interest drops until the peer drains, so the
+//!   kernel's receive buffer, and then the peer's congestion window,
+//!   absorb the rest (TCP backpressure, not server memory).
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -34,10 +30,6 @@ use crate::proto::MAX_FRAME_BYTES;
 /// Outbound bytes queued past which the connection stops reading new
 /// requests until the peer drains.
 pub(crate) const WRITE_HIGH_WATER: usize = 256 * 1024;
-
-/// Most requests one connection may have in the answer window
-/// (submitted-or-answered but not yet serialized to the socket buffer).
-pub(crate) const MAX_PIPELINE: u64 = 128;
 
 /// Per-readiness-event read budget: a firehose connection yields to its
 /// loop-mates after this many bytes (level-triggered polling re-reports
@@ -84,21 +76,8 @@ pub(crate) struct Conn {
     frame_scratch: Vec<Vec<u8>>,
     /// Reused HTTP-parser output vec.
     http_scratch: Vec<HttpRequest>,
-    /// Sequence assigned to the next accepted request frame.
-    next_seq: u64,
-    /// Sequence whose response goes out next (order preservation).
-    flush_seq: u64,
-    /// Responses that finished ahead of an earlier request, keyed by seq.
-    ready: HashMap<u64, Vec<u8>>,
-    /// Decoded request frames waiting for pipeline-window space: one
-    /// read burst can decode more frames than [`MAX_PIPELINE`] allows in
-    /// flight, and bytes already read from the kernel cannot be pushed
-    /// back — so the excess parks here (bounded by one read burst,
-    /// because a connection with parked frames stops reading) and the
-    /// event loop releases it as answers flush.
-    pub parked: VecDeque<Payload>,
-    /// Predict requests submitted to shard workers, not yet completed.
-    pub in_flight: usize,
+    /// Whether any response has been queued yet.
+    answered: bool,
     out: Vec<u8>,
     out_pos: usize,
     pub last_activity: Instant,
@@ -131,11 +110,7 @@ impl Conn {
             proto,
             frame_scratch: Vec::new(),
             http_scratch: Vec::new(),
-            next_seq: 0,
-            flush_seq: 0,
-            ready: HashMap::new(),
-            parked: VecDeque::new(),
-            in_flight: 0,
+            answered: false,
             out: Vec::new(),
             out_pos: 0,
             last_activity: Instant::now(),
@@ -157,19 +132,6 @@ impl Conn {
             ConnProto::Frames(decoder) => decoder.format().unwrap_or(WireFormat::Json),
             ConnProto::Http(_) => WireFormat::Json,
         }
-    }
-
-    /// Claim the sequence slot for a newly accepted request.
-    pub fn next_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Requests accepted whose responses have not yet reached the
-    /// outbound buffer.
-    pub fn outstanding(&self) -> u64 {
-        self.next_seq - self.flush_seq
     }
 
     /// Outbound bytes not yet accepted by the kernel.
@@ -238,27 +200,12 @@ impl Conn {
         }
     }
 
-    /// Queue the response for request `seq`, releasing it (and any
-    /// directly following ready responses) into the outbound buffer in
-    /// request order. The caller *encodes* the response: when `seq` is
-    /// next in line — the common case under ordered or lightly reordered
-    /// completion — the encoder writes **directly into the connection's
-    /// outbound buffer**, zero intermediate allocation per frame. Only a
-    /// response finishing ahead of an earlier request's pays for a
-    /// parking buffer.
-    pub fn enqueue_with(&mut self, seq: u64, encode: impl FnOnce(&mut Vec<u8>)) {
-        if seq == self.flush_seq {
-            encode(&mut self.out);
-            self.flush_seq += 1;
-        } else {
-            let mut frame = Vec::new();
-            encode(&mut frame);
-            self.ready.insert(seq, frame);
-        }
-        while let Some(bytes) = self.ready.remove(&self.flush_seq) {
-            self.out.extend_from_slice(&bytes);
-            self.flush_seq += 1;
-        }
+    /// Queue the response to the request just handled. The caller
+    /// *encodes* it **directly into the connection's outbound buffer** —
+    /// zero intermediate allocation per frame.
+    pub fn respond(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.out);
+        self.answered = true;
     }
 
     /// Push buffered bytes into the socket until it would block or the
@@ -288,39 +235,25 @@ impl Conn {
     /// answer (a just-accepted health check must not be cut off before
     /// it even sends its request).
     pub fn answered_any(&self) -> bool {
-        self.flush_seq > 0
-    }
-
-    /// Whether a freshly decoded request may enter the pipeline window
-    /// now (otherwise it parks).
-    pub fn window_open(&self) -> bool {
-        self.outstanding() < MAX_PIPELINE
+        self.answered
     }
 
     /// The interest this connection's state implies right now.
     pub fn wants(&self) -> Interest {
         Interest {
-            readable: !self.read_closed
-                && self.parked.is_empty()
-                && self.buffered() <= WRITE_HIGH_WATER
-                && self.window_open(),
+            readable: !self.read_closed && self.buffered() <= WRITE_HIGH_WATER,
             writable: self.buffered() > 0,
         }
     }
 
-    /// Everything accepted has been answered and flushed.
+    /// Everything answered has been flushed.
     pub fn drained(&self) -> bool {
-        self.parked.is_empty()
-            && self.in_flight == 0
-            && self.outstanding() == 0
-            && self.buffered() == 0
+        self.buffered() == 0
     }
 
-    /// Idle past `timeout` with nothing in flight on its behalf — the
-    /// slowloris/dead-peer condition. A connection waiting on the
-    /// *server* (shard work outstanding) is never idle.
+    /// No byte moved for `timeout` — the slowloris/dead-peer condition.
     pub fn idle_expired(&self, timeout: Duration, now: Instant) -> bool {
-        self.in_flight == 0 && now.duration_since(self.last_activity) >= timeout
+        now.duration_since(self.last_activity) >= timeout
     }
 }
 
@@ -338,78 +271,36 @@ mod tests {
     }
 
     #[test]
-    fn responses_release_in_request_order() {
-        let (server, _client) = pair();
-        let mut conn = Conn::new(server, 1);
-        let a = conn.next_seq();
-        let b = conn.next_seq();
-        let c = conn.next_seq();
-        assert_eq!(conn.outstanding(), 3);
-        // Completions arrive out of order; nothing flushes past a gap.
-        conn.enqueue_with(c, |out| out.extend_from_slice(b"C"));
-        assert_eq!(conn.buffered(), 0);
-        conn.enqueue_with(a, |out| out.extend_from_slice(b"A"));
-        assert_eq!(conn.buffered(), 1, "A releases, C still gapped behind B");
-        conn.enqueue_with(b, |out| out.extend_from_slice(b"B"));
-        assert_eq!(conn.buffered(), 3, "B releases itself and the parked C");
-        assert_eq!(conn.outstanding(), 0);
-        assert_eq!(&conn.out, b"ABC");
-    }
-
-    #[test]
     fn backpressure_pauses_reading() {
         let (server, _client) = pair();
         let mut conn = Conn::new(server, 1);
         assert!(conn.wants().readable);
-        let seq = conn.next_seq();
-        conn.enqueue_with(seq, |out| out.resize(WRITE_HIGH_WATER + 1, 0));
+        conn.respond(|out| out.resize(WRITE_HIGH_WATER + 1, 0));
         assert!(!conn.wants().readable, "over the write high-water mark");
         assert!(conn.wants().writable);
-        // A full pipeline window pauses reads too.
-        let (server2, _client2) = pair();
-        let mut conn2 = Conn::new(server2, 2);
-        for _ in 0..MAX_PIPELINE {
-            assert!(conn2.window_open());
-            conn2.next_seq();
-        }
-        assert!(!conn2.window_open(), "window full: new frames must park");
-        assert!(!conn2.wants().readable, "pipeline window exhausted");
-        // Parked frames alone also pause reading (they must drain first).
-        let (server3, _client3) = pair();
-        let mut conn3 = Conn::new(server3, 3);
-        conn3.parked.push_back(Payload::Frame(b"{}".to_vec()));
-        assert!(!conn3.wants().readable, "parked frames pause reads");
-        assert!(!conn3.drained(), "parked frames keep the conn alive");
+        assert!(!conn.drained(), "queued bytes keep the conn alive");
     }
 
     #[test]
-    fn in_order_completions_encode_straight_into_the_out_buffer() {
+    fn responses_encode_straight_into_the_out_buffer() {
         let (server, _client) = pair();
         let mut conn = Conn::new(server, 1);
-        let a = conn.next_seq();
-        let b = conn.next_seq();
-        // A is next in line: its encoder must see the outbound buffer
-        // itself (watch the base pointer stay put after the write).
-        conn.enqueue_with(a, |out| {
+        assert!(!conn.answered_any());
+        conn.respond(|out| {
             assert!(out.is_empty(), "handed the real out buffer at its tail");
             out.extend_from_slice(b"A");
         });
-        assert_eq!(conn.buffered(), 1);
-        conn.enqueue_with(b, |out| out.extend_from_slice(b"B"));
+        conn.respond(|out| out.extend_from_slice(b"B"));
         assert_eq!(&conn.out, b"AB");
-        assert_eq!(conn.outstanding(), 0);
+        assert!(conn.answered_any());
     }
 
     #[test]
-    fn idle_expiry_spares_connections_waiting_on_shards() {
+    fn idle_expiry_counts_from_the_last_byte() {
         let (server, _client) = pair();
-        let mut conn = Conn::new(server, 1);
-        let long_ago = Instant::now() + Duration::from_secs(60);
-        assert!(conn.idle_expired(Duration::from_secs(1), long_ago));
-        conn.in_flight = 1;
-        assert!(
-            !conn.idle_expired(Duration::from_secs(1), long_ago),
-            "waiting on the server is not idleness"
-        );
+        let conn = Conn::new(server, 1);
+        let now = Instant::now();
+        assert!(!conn.idle_expired(Duration::from_secs(60), now));
+        assert!(conn.idle_expired(Duration::from_secs(1), now + Duration::from_secs(60)));
     }
 }

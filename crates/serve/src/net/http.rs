@@ -407,26 +407,6 @@ fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_drop
         );
     }
 
-    let _ = writeln!(
-        w,
-        "# HELP gps_cache_hits_total Answer-cache hits, by layer (l1 = transport cache, shard = worker LRU)."
-    );
-    let _ = writeln!(w, "# TYPE gps_cache_hits_total counter");
-    let _ = writeln!(w, "gps_cache_hits_total{{layer=\"l1\"}} {}", stats.l1_hits);
-    let _ = writeln!(
-        w,
-        "gps_cache_hits_total{{layer=\"shard\"}} {}",
-        stats.cache_hits.saturating_sub(stats.l1_hits)
-    );
-
-    let _ = writeln!(w, "# HELP gps_cache_misses_total Answer-cache misses.");
-    let _ = writeln!(w, "# TYPE gps_cache_misses_total counter");
-    let _ = writeln!(w, "gps_cache_misses_total {}", stats.cache_misses);
-
-    let _ = writeln!(w, "# HELP gps_batches_total Shard worker batch wakeups.");
-    let _ = writeln!(w, "# TYPE gps_batches_total counter");
-    let _ = writeln!(w, "gps_batches_total {}", stats.batches);
-
     let _ = writeln!(w, "# HELP gps_reloads_total Completed model reloads.");
     let _ = writeln!(w, "# TYPE gps_reloads_total counter");
     let _ = writeln!(w, "gps_reloads_total {}", stats.reloads);
@@ -463,15 +443,6 @@ fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_drop
 
     let _ = writeln!(
         w,
-        "# HELP gps_shard_requests_total Requests serviced per shard."
-    );
-    let _ = writeln!(w, "# TYPE gps_shard_requests_total counter");
-    for (i, count) in stats.per_shard.iter().enumerate() {
-        let _ = writeln!(w, "gps_shard_requests_total{{shard=\"{i}\"}} {count}");
-    }
-
-    let _ = writeln!(
-        w,
         "# HELP gps_query_log_dropped_total Query-log records dropped (ring full)."
     );
     let _ = writeln!(w, "# TYPE gps_query_log_dropped_total counter");
@@ -502,29 +473,6 @@ fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_drop
             "gps_model_requests_total{{model=\"{}\"}} {}",
             label_escape(&model.id),
             model.requests
-        );
-    }
-    let _ = writeln!(w, "# HELP gps_model_cache_hits_total Cache hits per model.");
-    let _ = writeln!(w, "# TYPE gps_model_cache_hits_total counter");
-    for model in &stats.models {
-        let _ = writeln!(
-            w,
-            "gps_model_cache_hits_total{{model=\"{}\"}} {}",
-            label_escape(&model.id),
-            model.cache_hits
-        );
-    }
-    let _ = writeln!(
-        w,
-        "# HELP gps_model_cache_misses_total Cache misses per model."
-    );
-    let _ = writeln!(w, "# TYPE gps_model_cache_misses_total counter");
-    for model in &stats.models {
-        let _ = writeln!(
-            w,
-            "gps_model_cache_misses_total{{model=\"{}\"}} {}",
-            label_escape(&model.id),
-            model.cache_misses
         );
     }
     let _ = writeln!(

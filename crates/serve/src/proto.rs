@@ -64,7 +64,7 @@ use crate::artifact::{Query, Ranked};
 use crate::hist::{EndpointLabel, WireLabel};
 use crate::net::http;
 use crate::net::{FrameDecoder, WireFormat};
-use crate::server::{unix_now_millis, CacheLayer, ModelEntry, PredictionServer};
+use crate::server::{unix_now_millis, ModelEntry, PredictionServer};
 use crate::transport::TransportConfig;
 use crate::wire;
 use gps_types::binary::ByteWriter;
@@ -78,9 +78,9 @@ pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 /// Largest batch a single `batch` request may carry.
 pub const MAX_BATCH_QUERIES: usize = 65_536;
 
-/// Most open-port evidence entries a single query may carry. Evidence
-/// becomes part of per-shard LRU cache keys, so unbounded lists from the
-/// wire would let one client pin gigabytes of key data in the caches.
+/// Most open-port evidence entries a single query may carry. Each entry
+/// is a rule lookup per trained key class, so unbounded lists from the
+/// wire would let one small frame buy unbounded kernel time.
 pub const MAX_OPEN_PORTS: usize = 64;
 
 /// Largest `top` a query may request over the wire (bounds response size).
@@ -317,7 +317,7 @@ pub(crate) const OVERSIZE_REPLY: &str = "response exceeds frame size cap";
 
 /// How the reply to one classified request frame must be encoded — the
 /// per-request state a transport carries from classification to reply
-/// serialization (for predict work, across the shard round trip).
+/// serialization.
 pub(crate) enum ReplyCtx {
     /// A JSON-session frame: set the echoed id, serialize as JSON text.
     Json { id: Option<Json> },
@@ -332,7 +332,7 @@ pub(crate) enum ReplyCtx {
     Http { id: Option<Json>, keep_alive: bool },
 }
 
-/// A finished (no shard work) reply, ready to serialize.
+/// A finished (non-predict) reply, ready to serialize.
 pub(crate) enum ReadyReply {
     /// JSON response on a JSON session.
     Json { response: Json, id: Option<Json> },
@@ -465,7 +465,7 @@ pub(crate) fn encode_ready(reply: ReadyReply, out: &mut Vec<u8>) {
 /// into `out` — no intermediate `String` or `Vec` per frame.
 pub(crate) fn encode_predict_reply(
     ctx: &ReplyCtx,
-    answers: &[Arc<Ranked>],
+    answers: &[Ranked],
     batch: bool,
     out: &mut Vec<u8>,
 ) {
@@ -518,17 +518,16 @@ fn optional_str<'a>(request: &'a Json, field: &str) -> Result<Option<&'a str>, S
 /// How one request frame is to be answered. `classify` is the request
 /// core both transports share: every command except the predicts is
 /// fully computed here; the predicts come back as *work* (the resolved
-/// model entry plus parsed queries), because the blocking transport
-/// executes them in place while the event transport pipelines them into
-/// the shard workers and answers when completions return. Running the
-/// same classification and the same response builders is what makes the
-/// two transports answer byte-identically — asserted by the
-/// transport-parity e2e suite.
+/// model entry plus parsed queries), which the transport answers through
+/// `PredictionServer::answer` and encodes straight into its outbound
+/// buffer. Running the same classification and the same response
+/// builders is what makes the two transports answer byte-identically —
+/// asserted by the transport-parity e2e suite.
 pub(crate) enum Action {
     /// The response, finished.
     Ready(Json),
-    /// Shard work: answer with [`predict_response`] once every query in
-    /// `queries` has its answer.
+    /// Predict work: answer every query in `queries`, then reply with
+    /// [`predict_response`].
     Predict {
         entry: Arc<ModelEntry>,
         queries: Vec<Query>,
@@ -539,15 +538,12 @@ pub(crate) enum Action {
 }
 
 /// Build the success reply for completed predict work (both shapes).
-pub(crate) fn predict_response(answers: &[Arc<Ranked>], batch: bool) -> Json {
+pub(crate) fn predict_response(answers: &[Ranked], batch: bool) -> Json {
     let mut json = ok_response();
     if batch {
         json.set(
             "results",
-            answers
-                .iter()
-                .map(|r| ranked_to_json(r))
-                .collect::<Vec<_>>(),
+            answers.iter().map(ranked_to_json).collect::<Vec<_>>(),
         );
     } else {
         json.set("predictions", ranked_to_json(&answers[0]));
@@ -894,16 +890,14 @@ fn predict_action(
 /// a batch frame of `n` queries counts `n` samples, keeping histogram
 /// counts summable against `requests` — and, when a query log is
 /// configured, append one structured record carrying the first query's
-/// key fields (what warm replay needs back).
-#[allow(clippy::too_many_arguments)]
+/// key fields and the generation that computed the answers.
 pub(crate) fn record_predict(
     server: &PredictionServer,
     entry: &ModelEntry,
     wire: WireLabel,
     batch: bool,
-    n: u64,
-    first: Option<&Query>,
-    layer: CacheLayer,
+    queries: &[Query],
+    generation: u64,
     started: Instant,
 ) {
     let latency_ns = started.elapsed().as_nanos() as u64;
@@ -919,8 +913,8 @@ pub(crate) fn record_predict(
         .counters
         .hists
         .cell(wire, endpoint)
-        .record_n(latency_ns, n);
-    if let (Some(log), Some(first)) = (server.query_log(), first) {
+        .record_n(latency_ns, queries.len() as u64);
+    if let (Some(log), Some(first)) = (server.query_log(), queries.first()) {
         log.push(QueryLogRecord {
             ts_ms: unix_now_millis(),
             model: entry.id.clone(),
@@ -930,15 +924,14 @@ pub(crate) fn record_predict(
             open: first.open.iter().map(|p| p.0).collect(),
             asn: first.asn,
             top: first.top,
-            cache: layer.as_str().to_string(),
             latency_ns,
-            generation: entry.generation(),
+            generation,
         });
     }
 }
 
-/// Record one admin-shaped request (anything that never reaches the
-/// shards) into the server-level histogram matrix.
+/// Record one admin-shaped request (anything that is not a predict) into
+/// the server-level histogram matrix.
 pub(crate) fn record_admin(server: &PredictionServer, wire: WireLabel, started: Instant) {
     server
         .server_stats()
@@ -989,42 +982,13 @@ pub fn serve_connection(server: &PredictionServer, stream: TcpStream) -> io::Res
             }
             FrameAction::Predict {
                 entry,
-                queries,
+                mut queries,
                 batch,
                 ctx,
             } => {
-                // Predict work executes in place — the blocking
-                // transport's path through the shared core. Cache-layer
-                // tracing costs an Arc bump per request, so it runs only
-                // when a query log wants the attribution.
-                let n = queries.len() as u64;
-                let trace = server.query_log().is_some();
-                let first = if trace {
-                    queries.first().cloned()
-                } else {
-                    None
-                };
-                let layer = if batch {
-                    let (answers, layer) =
-                        server.predict_batch_entry_traced(entry.clone(), queries, trace);
-                    encode_predict_reply(&ctx, &answers, true, &mut response_buf);
-                    layer
-                } else {
-                    let query = queries.into_iter().next().expect("one query");
-                    let (answer, layer) = server.predict_entry_traced(entry.clone(), query, trace);
-                    encode_predict_reply(&ctx, &[answer], false, &mut response_buf);
-                    layer
-                };
-                record_predict(
-                    server,
-                    &entry,
-                    wire,
-                    batch,
-                    n,
-                    first.as_ref(),
-                    layer,
-                    started,
-                );
+                let (generation, answers) = server.answer(&entry, &mut queries, || {});
+                encode_predict_reply(&ctx, &answers, batch, &mut response_buf);
+                record_predict(server, &entry, wire, batch, &queries, generation, started);
             }
         }
         // Write coalescing: while the read buffer already holds more of

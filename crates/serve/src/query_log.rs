@@ -10,8 +10,7 @@
 //! so short-lived servers (tests, CLI runs) still land every record
 //! that fit the ring.
 //!
-//! The line schema is [`QueryLogRecord`] (`gps_types::obs`) — the same
-//! records `--warm-from` parses back for cache warm-up replay.
+//! The line schema is [`QueryLogRecord`] (`gps_types::obs`).
 
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
@@ -186,7 +185,6 @@ mod tests {
             open: vec![80],
             asn: None,
             top: 8,
-            cache: "miss".into(),
             latency_ns: 1000,
             generation: 1,
         }

@@ -8,8 +8,7 @@
 //!   connection counts stay in the hundreds. The default.
 //! - [`Transport::Events`] — N event-loop threads multiplexing
 //!   nonblocking sockets over `epoll` (or the portable `poll(2)`
-//!   fallback), with incremental frame decoding and shard completion
-//!   queues (`crate::net`). Holds tens of thousands of mostly-idle
+//!   fallback), with incremental frame decoding (`crate::net`). Holds tens of thousands of mostly-idle
 //!   connections — the LZR-style scanning fan-in the serving layer
 //!   exists for.
 //!

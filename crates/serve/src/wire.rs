@@ -64,8 +64,6 @@
 //! before allocation (`ByteReader`), list sizes are capped, and
 //! truncation anywhere is an error.
 
-use std::sync::Arc;
-
 use crate::artifact::{Query, Ranked};
 use crate::proto::{MAX_BATCH_QUERIES, MAX_OPEN_PORTS, MAX_TOP};
 use gps_types::binary::{ByteReader, ByteWriter, GPSQ_MAGIC, GPSQ_VERSION};
@@ -345,7 +343,7 @@ pub(crate) fn encode_error(id: Option<u64>, message: &str, out: &mut ByteWriter)
 /// one query (mirroring the JSON `"results"` vs `"predictions"` shapes).
 pub(crate) fn encode_predict_response(
     id: Option<u64>,
-    answers: &[Arc<Ranked>],
+    answers: &[Ranked],
     batch: bool,
     out: &mut ByteWriter,
 ) {
@@ -478,7 +476,7 @@ mod tests {
             (Port(22), 1.0 / 3.0),
             (Port(8080), f64::MIN_POSITIVE),
         ];
-        let answers = vec![Arc::new(ranking.clone()), Arc::new(Vec::new())];
+        let answers = vec![ranking.clone(), Vec::new()];
         let cases: Vec<(Response, Vec<u8>)> = vec![
             (Response::Pong { id: Some(4) }, {
                 let mut w = ByteWriter::new();

@@ -3,10 +3,10 @@
 //! recording half lives in `gps-serve`, which snapshots into this type
 //! for `stats` replies and the Prometheus `/metrics` endpoint) and the
 //! structured query-log record (one JSON line per served request,
-//! written by `--query-log` and replayed by `--warm-from`).
+//! written by `--query-log`).
 //!
 //! Both types have a canonical JSON encoding so the wire `stats` command,
-//! the HTTP gateway, loadgen's bench reports, and warm-up replay all
+//! the HTTP gateway, loadgen's bench reports, and query-log readers all
 //! agree on one schema.
 
 use crate::error::GpsError;
@@ -163,10 +163,9 @@ impl JsonCodec for HistogramSnapshot {
     }
 }
 
-/// One served request, as a line in the structured query log. The `ip`
-/// is the exact queried address (cache keys mask it by the model's own
-/// prefix, which may be finer than /16 — the raw address lets replay
-/// rebuild the key under whatever model is serving at replay time).
+/// One served request, as a line in the structured query log. The key
+/// fields (`ip`, `open`, `asn`, `top`) are the first query of the request
+/// as the server answered it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryLogRecord {
     /// Unix timestamp, milliseconds.
@@ -184,11 +183,8 @@ pub struct QueryLogRecord {
     pub asn: Option<u32>,
     /// Requested ranking depth after defaulting.
     pub top: usize,
-    /// Which cache layer answered: `l1` | `shard` | `miss` | `mixed`
-    /// (a batch whose queries split between hits and misses).
-    pub cache: String,
     pub latency_ns: u64,
-    /// Model generation at answer time.
+    /// Generation of the model epoch that computed the answer.
     pub generation: u64,
 }
 
@@ -213,7 +209,6 @@ impl JsonCodec for QueryLogRecord {
             json.set("asn", asn);
         }
         json.set("top", self.top)
-            .set("cache", self.cache.as_str())
             .set("latency_ns", Json::Num(self.latency_ns as f64))
             .set("generation", Json::Num(self.generation as f64));
         json
@@ -262,7 +257,6 @@ impl JsonCodec for QueryLogRecord {
             open,
             asn,
             top: num("top")? as usize,
-            cache: text("cache")?,
             latency_ns: num("latency_ns")?,
             generation: num("generation")?,
         })
@@ -346,7 +340,6 @@ mod tests {
             open: vec![80, 443],
             asn: Some(64500),
             top: 16,
-            cache: "l1".into(),
             latency_ns: 48_000,
             generation: 3,
         };

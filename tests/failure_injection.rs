@@ -135,7 +135,6 @@ mod router_resilience {
     use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, Router, RouterConfig, RouterHandle, ServableModel,
-        ServeConfig,
     };
     use gps::types::{Ip, Port, Subnet};
 
@@ -279,23 +278,11 @@ mod router_resilience {
     #[test]
     fn zero_failed_queries_through_backend_kill_and_restart() {
         let b0 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::with_defaults(model())),
             "127.0.0.1:0",
         );
         let b1 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::with_defaults(model())),
             "127.0.0.1:0",
         );
         let handle = start_router(&[b0.addr, b1.addr]);
@@ -421,23 +408,11 @@ mod router_resilience {
     #[test]
     fn batches_survive_a_backend_kill() {
         let b0 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::with_defaults(model())),
             "127.0.0.1:0",
         );
         let b1 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::with_defaults(model())),
             "127.0.0.1:0",
         );
         let handle = start_router(&[b0.addr, b1.addr]);
@@ -475,7 +450,7 @@ mod serve_churn {
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
     use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
-        Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot, TransportConfig,
+        Client, PredictionServer, Query, ServableModel, StatsSnapshot, TransportConfig,
     };
     use gps::types::testutil::serve_transports;
     use gps::types::{Ip, Port, Subnet};
@@ -513,13 +488,7 @@ mod serve_churn {
     }
 
     fn spawn(transport: &str) -> (Arc<PredictionServer>, SocketAddr) {
-        let server = Arc::new(PredictionServer::start(
-            model(),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        ));
+        let server = Arc::new(PredictionServer::with_defaults(model()));
         let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let config = TransportConfig::named(transport).expect("known transport");
@@ -553,8 +522,8 @@ mod serve_churn {
 
     /// Many connect → query → disconnect cycles, interleaved with
     /// mid-frame disconnects (a length prefix promising bytes that never
-    /// come, a torn prefix, a request whose answer nobody reads): no
-    /// shard worker may wedge, and the connection counters must balance
+    /// come, a torn prefix, a request whose answer nobody reads): nothing
+    /// may wedge, and the connection counters must balance
     /// to zero live connections afterward, on every transport.
     #[test]
     fn connection_churn_and_midframe_disconnects_leave_server_healthy() {
@@ -590,7 +559,7 @@ mod serve_churn {
                 }
             }
             // A request whose answer nobody reads: send a full predict
-            // frame and immediately disconnect — the shard still computes
+            // frame and immediately disconnect — the server still computes
             // it, the reply lands on a dead connection, nothing wedges.
             for _ in 0..5 {
                 let mut stream = TcpStream::connect(addr).expect("connect");
@@ -614,7 +583,7 @@ mod serve_churn {
                 "{transport}: no idle timeout configured, none may fire"
             );
 
-            // ...and the shard workers are not wedged: a fresh client
+            // ...and the server is not wedged: a fresh client
             // still gets every answer, promptly.
             let mut client = Client::connect(addr).expect("fresh connect");
             for i in 0..50u32 {
@@ -631,16 +600,16 @@ mod serve_churn {
                     .expect("post-churn batch")
                     .len(),
                 64,
-                "{transport}: batches still fan out across every shard"
+                "{transport}: batches still answer every query"
             );
             let stats = await_stats(server.as_ref(), transport, |s| {
                 s.conns_accepted == expected_conns + 1
             });
             // The request counters moved for the post-churn traffic, so
-            // shards are demonstrably servicing work.
+            // the server is demonstrably answering.
             assert!(
                 stats.requests >= expected_conns / 2 + 50 + 64,
-                "{transport}: shards served throughout: {stats:?}"
+                "{transport}: served throughout: {stats:?}"
             );
             drop(client);
             await_stats(server.as_ref(), transport, |s| {

@@ -381,14 +381,12 @@ proptest! {
         }
     }
 
-    /// Per-model cache isolation across reloads: with models A and B
-    /// registered, warm B's shard caches over random queries, hot-reload
-    /// A, and require that (a) B's answers stay bit-identical to its
-    /// pre-reload answers and to the direct artifact lookup, and (b) B's
-    /// warmed entries are *still cache hits* — A's reload evicted zero of
-    /// B's entries (per-model hit/miss counters prove it).
+    /// Per-model isolation across reloads: with models A and B
+    /// registered, answer random queries on B, hot-reload A, and require
+    /// that B's answers stay identical to its pre-reload answers and to
+    /// the direct artifact lookup, and that B's generation never moves.
     #[test]
-    fn reloading_one_model_leaves_other_models_caches_intact(
+    fn reloading_one_model_leaves_other_models_answers_intact(
         ips in proptest::collection::vec(any::<u32>(), 40..41),
         evidence_port in 1u16..2000,
     ) {
@@ -416,11 +414,10 @@ proptest! {
                 ("a".to_string(), tiny_model(443)),
                 ("b".to_string(), model_b),
             ],
-            ServeConfig { shards: 2, ..ServeConfig::default() },
+            ServeConfig::default(),
         )
         .expect("registry starts");
 
-        // Warm pass, then a verify pass that must be all hits.
         let expected: Vec<_> = queries
             .iter()
             .map(|q| server.predict_for("b", q.clone()).expect("model b"))
@@ -428,22 +425,12 @@ proptest! {
         for (query, expected) in queries.iter().zip(&expected) {
             prop_assert_eq!(
                 &artifacts.original.predict(query),
-                &**expected,
+                expected,
                 "served B equals the direct artifact lookup"
             );
         }
-        let warmed = server.model_stats("b").expect("b registered");
-        for (query, expected) in queries.iter().zip(&expected) {
-            prop_assert_eq!(&server.predict_for("b", query.clone()).unwrap(), expected);
-        }
-        let before = server.model_stats("b").expect("b registered");
-        prop_assert_eq!(
-            before.cache_hits,
-            warmed.cache_hits + queries.len() as u64,
-            "every warmed query is a hit"
-        );
 
-        // Hot-reload A; B must neither recompute nor change a bit.
+        // Hot-reload A; B must not change a bit.
         server.reload_model("a", tiny_model(8443)).expect("reload a");
         prop_assert_eq!(server.generation_of("a").unwrap(), 1);
         prop_assert_eq!(
@@ -457,14 +444,7 @@ proptest! {
         for (query, expected) in queries.iter().zip(&expected) {
             prop_assert_eq!(&server.predict_for("b", query.clone()).unwrap(), expected);
         }
-        let after = server.model_stats("b").expect("b registered");
-        prop_assert_eq!(
-            after.cache_hits,
-            before.cache_hits + queries.len() as u64,
-            "A's reload evicted zero of B's cache entries"
-        );
-        prop_assert_eq!(after.cache_misses, before.cache_misses, "B never recomputed");
-        server.shutdown();
+        prop_assert_eq!(server.generation_of("b").unwrap(), 0, "B keeps its epoch");
     }
 }
 
@@ -484,13 +464,7 @@ fn parity_server() -> (
         let model = ServableModel::from_snapshot(
             ModelSnapshot::from_binary_bytes(&served_artifacts().gpsb_bytes).expect("gpsb parses"),
         );
-        let server = Arc::new(PredictionServer::start(
-            model,
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        ));
+        let server = Arc::new(PredictionServer::with_defaults(model));
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         {

@@ -15,9 +15,7 @@ use std::time::{Duration, Instant};
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
 use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::proto::{read_frame, write_frame};
-use gps::serve::{
-    Client, PredictionServer, Query, ServableModel, ServeConfig, TransportConfig, WireFormat,
-};
+use gps::serve::{Client, PredictionServer, Query, ServableModel, TransportConfig, WireFormat};
 use gps::types::testutil::{serve_transports, DribbleProxy};
 use gps::types::{Ip, Json, Port, Subnet};
 
@@ -116,13 +114,7 @@ fn model() -> ServableModel {
 }
 
 fn spawn(transport: &str, config: TransportConfig) -> (Arc<PredictionServer>, SocketAddr) {
-    let server = Arc::new(PredictionServer::start(
-        model(),
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
-    ));
+    let server = Arc::new(PredictionServer::with_defaults(model()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let config = TransportConfig {
@@ -476,8 +468,8 @@ fn binary_frame_mid_json_session_closes_only_the_offender() {
 
 /// A burst of pipelined *binary* frames delivered in one write is
 /// answered completely, in order, ids echoed — the GPSQ sibling of the
-/// JSON pipelining case, past the event transport's pipeline window so
-/// parked binary frames are exercised too.
+/// JSON pipelining case, with more frames in one read than a connection
+/// answers per readiness event.
 #[test]
 fn pipelined_binary_burst_answers_in_order() {
     const BURST: u64 = 300;

@@ -116,12 +116,8 @@ fn concurrent_tcp_clients_match_direct_lookups() {
     for transport in serve_transports() {
         let loaded = ModelSnapshot::load(&path).expect("load snapshot");
         assert_eq!(loaded.manifest, reference.manifest);
-        let server = Arc::new(PredictionServer::start(
+        let server = Arc::new(PredictionServer::with_defaults(
             ServableModel::from_snapshot(loaded),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
         ));
         let addr = spawn_transport(server.clone(), transport);
 
@@ -181,19 +177,13 @@ fn concurrent_tcp_clients_match_direct_lookups() {
             handle.join().expect("client thread");
         }
 
-        // The server really served this traffic, and the per-subnet cache
-        // saw repeated subnets.
+        // The server really served this traffic.
         let stats = server.stats();
         assert!(
             stats.requests >= 6 * 190,
             "{transport}: requests {}",
             stats.requests
         );
-        assert!(
-            stats.cache_hits > 0,
-            "{transport}: repeated subnets must hit the cache"
-        );
-        assert_eq!(stats.per_shard.iter().sum::<u64>(), stats.requests);
         assert_eq!(
             stats.conns_accepted, 6,
             "{transport}: six clients connected"
@@ -205,7 +195,7 @@ fn concurrent_tcp_clients_match_direct_lookups() {
 /// it from concurrent clients, swap in a *different* model via the
 /// `reload` wire command mid-traffic, and require (a) zero failed
 /// queries throughout, (b) a generation bump, and (c) post-reload
-/// answers matching the new artifact (cache invalidation included) — on
+/// answers matching the new artifact — on
 /// every transport.
 #[test]
 fn hot_reload_serves_new_model_with_zero_failed_queries() {
@@ -235,10 +225,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
     for transport in serve_transports() {
         let server = PredictionServer::start(
             ServableModel::from_snapshot(ModelSnapshot::load_serving(&path_a).expect("load a")),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         server.set_model_path(&path_a);
         let addr = spawn_transport(Arc::new(server), transport);
@@ -328,7 +315,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
             model_b.predict(&probe),
             "{transport}: post-reload answers come from the new artifact"
         );
-        // A warm (rules-path) probe too: stale cache entries surface here.
+        // A warm (rules-path) probe too.
         let mut warm = Query::new(Ip(net_b.host_ips()[0]));
         warm.open = vec![Port(443)];
         warm.top = 16;
@@ -400,10 +387,7 @@ fn two_models_served_by_id_over_one_connection() {
                     ServableModel::from_snapshot(snapshot_b.clone()),
                 ),
             ],
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .expect("registry starts");
         let addr = spawn_transport(Arc::new(server), transport);
@@ -570,12 +554,8 @@ fn json_and_binary_clients_answer_bit_identically() {
 
     for transport in serve_transports() {
         let loaded = ModelSnapshot::load(&path).expect("load snapshot");
-        let server = Arc::new(PredictionServer::start(
+        let server = Arc::new(PredictionServer::with_defaults(
             ServableModel::from_snapshot(loaded),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
         ));
         let addr = spawn_transport(server, transport);
         let mut json = Client::connect_with(addr, WireFormat::Json).expect("json client");
@@ -653,10 +633,7 @@ fn server_survives_malformed_frames() {
     for transport in serve_transports() {
         let server = Arc::new(PredictionServer::start(
             ServableModel::from_snapshot(snapshot.clone()),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         ));
         let addr = spawn_transport(server.clone(), transport);
 
@@ -726,5 +703,205 @@ fn server_survives_malformed_frames() {
             Some(true),
             "{transport}: good requests still answered after garbage"
         );
+    }
+}
+
+/// Equal port for port and bit for bit.
+fn assert_same_bits(got: &[(Port, f64)], want: &[(Port, f64)], what: &str) {
+    let bits = |ranked: &[(Port, f64)]| -> Vec<(u16, u64)> {
+        ranked.iter().map(|&(p, v)| (p.0, v.to_bits())).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}");
+}
+
+/// One `POST /batch` over a fresh connection; returns the rankings.
+fn http_batch(addr: SocketAddr, queries: &[Query]) -> Vec<Vec<(Port, f64)>> {
+    use std::io::{Read, Write};
+    let mut body = gps::types::Json::obj();
+    body.set(
+        "queries",
+        queries
+            .iter()
+            .map(gps::serve::proto::query_to_json)
+            .collect::<Vec<_>>(),
+    );
+    let mut text = String::new();
+    body.write(&mut text);
+    let mut stream = std::net::TcpStream::connect(addr).expect("http connect");
+    write!(
+        stream,
+        "POST /batch HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{text}",
+        text.len()
+    )
+    .expect("http request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("http response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("http head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let reply = gps::types::Json::parse(body.trim()).expect("http body json");
+    reply
+        .get("results")
+        .and_then(gps::types::Json::as_arr)
+        .expect("results")
+        .iter()
+        .map(|r| gps::serve::proto::ranked_from_json(r).expect("ranking"))
+        .collect()
+}
+
+/// Serving parity: one fixed corpus replayed through every serving path
+/// — in-process `predict`/`predict_batch`, JSON and GPSQ frames (single
+/// and batch) on every transport, and HTTP `POST /batch` — must answer
+/// bit for bit what `ServableModel::predict` answers for the query as the
+/// server fills it in (evidence sorted and deduplicated, `top: 0` → the
+/// server default). Three passes: the trained model, the same bytes
+/// reloaded, and a different model reloaded. Every pass also sends one
+/// `MAX_BATCH_QUERIES` GPSQ batch.
+#[test]
+fn every_serving_path_answers_the_corpus_bit_identically() {
+    use gps::serve::proto::MAX_BATCH_QUERIES;
+    let dir = TestDir::new("serve-parity");
+    let (net, _snapshot, path_a) = train_and_export(&dir);
+    let net_b = Internet::generate(&UniverseConfig::tiny(43));
+    let config_b = GpsConfig {
+        seed_fraction: 0.05,
+        step_prefix: 16,
+        ..GpsConfig::default()
+    };
+    let run_b = run_gps(&net_b, &censys_dataset(&net_b, 200, 0.05, 0, 1), &config_b);
+    let path_b = dir.path("model-b.json");
+    ModelSnapshot::from_run(&run_b, &config_b, 43)
+        .save(&path_b)
+        .expect("export b");
+
+    // The corpus: cold, warm-small, warm-wide, permuted and duplicated
+    // evidence, `top: 0`, an ASN, and a /16 no model has seen.
+    let hosts = net.host_ips();
+    let seen: std::collections::HashSet<u32> = hosts
+        .iter()
+        .chain(net_b.host_ips())
+        .map(|ip| ip >> 16)
+        .collect();
+    let unseen = (0u32..=0xFFFF)
+        .rev()
+        .find(|s16| !seen.contains(s16))
+        .expect("an unseen /16");
+    let mut corpus = Vec::new();
+    for (i, &host) in hosts.iter().step_by(hosts.len() / 8 + 1).enumerate() {
+        let ip = Ip(host);
+        let mut cold = Query::new(ip);
+        cold.top = 8;
+        let mut warm_small = Query::new(ip).with_open([443]);
+        warm_small.top = 4;
+        let mut warm_wide = Query::new(ip).with_open([21, 22, 25, 80, 110, 143, 443, 3306, 8080]);
+        warm_wide.top = 64;
+        let mut permuted = Query::new(ip).with_open([443, 22, 80]);
+        permuted.top = 16;
+        let mut duplicated = Query::new(ip).with_open([80, 443, 80, 80]);
+        duplicated.top = 16;
+        let mut with_asn = Query::new(ip).with_open([80]);
+        with_asn.asn = Some(i as u32);
+        corpus.extend([
+            cold,
+            warm_small,
+            warm_wide,
+            permuted,
+            duplicated,
+            Query::new(ip).with_open([22]), // top: 0
+            with_asn,
+        ]);
+    }
+    let unseen_ip = Ip(unseen << 16 | 0x0102);
+    corpus.push(Query::new(unseen_ip));
+    corpus.push(Query::new(unseen_ip).with_open([80, 443]));
+    let big: Vec<Query> = (0..MAX_BATCH_QUERIES)
+        .map(|i| {
+            let mut query = corpus[i % corpus.len()].clone();
+            query.ip = Ip(query.ip.0 ^ (i as u32 & 0xFF));
+            query
+        })
+        .collect();
+
+    let server = Arc::new(PredictionServer::with_defaults(
+        ServableModel::from_snapshot(ModelSnapshot::load_serving(&path_a).expect("load a")),
+    ));
+    let mut fronts = Vec::new();
+    for transport in serve_transports() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("frame port");
+        let http = TcpListener::bind("127.0.0.1:0").expect("http port");
+        let addrs = (
+            listener.local_addr().expect("frame addr"),
+            http.local_addr().expect("http addr"),
+        );
+        let config = TransportConfig::named(transport).expect("known transport");
+        let serving = server.clone();
+        std::thread::spawn(move || {
+            gps::serve::serve_with_http(serving, listener, Some(http), config)
+        });
+        fronts.push((transport, addrs));
+    }
+
+    let default_top = ServeConfig::default().default_top;
+    for (pass, source) in [&path_a, &path_a, &path_b].into_iter().enumerate() {
+        if pass > 0 {
+            let (generation, _) = server.reload_from_disk(Some(source)).expect("reload");
+            assert_eq!(generation, pass as u64);
+        }
+        let oracle =
+            ServableModel::from_snapshot(ModelSnapshot::load_serving(source).expect("oracle"));
+        let expect = |query: &Query| {
+            let mut canonical = query.clone();
+            canonical.open.sort_unstable();
+            canonical.open.dedup();
+            if canonical.top == 0 {
+                canonical.top = default_top;
+            }
+            oracle.predict(&canonical)
+        };
+        let want: Vec<_> = corpus.iter().map(expect).collect();
+        let check = |got: &[Vec<(Port, f64)>], path: &str| {
+            assert_eq!(got.len(), want.len(), "pass {pass}, {path}: answer count");
+            for ((got, want), query) in got.iter().zip(&want).zip(&corpus) {
+                assert_same_bits(got, want, &format!("pass {pass}, {path}: {query:?}"));
+            }
+        };
+
+        let singles: Vec<_> = corpus.iter().map(|q| server.predict(q.clone())).collect();
+        check(&singles, "in-process predict");
+        check(&server.predict_batch(corpus.clone()), "in-process batch");
+        for &(transport, (addr, http_addr)) in &fronts {
+            for wire in ["json", "binary"] {
+                let mut client = connect_wire(addr, wire);
+                let singles: Vec<_> = corpus
+                    .iter()
+                    .map(|q| client.predict(q).expect("single"))
+                    .collect();
+                check(&singles, &format!("{transport}/{wire} single"));
+                check(
+                    &client.predict_batch(&corpus).expect("batch"),
+                    &format!("{transport}/{wire} batch"),
+                );
+            }
+            check(
+                &http_batch(http_addr, &corpus),
+                &format!("{transport}/http batch"),
+            );
+        }
+
+        // The event loops answer this one in chunks, serving other
+        // connections in between; the answers must not notice.
+        let want_big: Vec<_> = big.iter().map(expect).collect();
+        for &(transport, (addr, _)) in &fronts {
+            let answers = connect_wire(addr, "binary")
+                .predict_batch(&big)
+                .expect("max batch");
+            assert_eq!(answers.len(), MAX_BATCH_QUERIES);
+            for (i, (got, want)) in answers.iter().zip(&want_big).enumerate() {
+                assert_same_bits(
+                    got,
+                    want,
+                    &format!("pass {pass}, {transport} max batch #{i}"),
+                );
+            }
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! End-to-end tests for the observability plane: the HTTP/1.1 gateway
 //! (admin endpoints, Prometheus exposition, predict parity with the
 //! JSON wire), counter invariants across the transport x wire matrix,
-//! `reset-stats` semantics, the structured query log, and warm-up
-//! replay (startup and post-reload).
+//! `reset-stats` semantics, and the structured query log.
 //!
 //! The HTTP side is driven with raw `TcpStream`s on purpose — the
 //! server's parser must face real sockets, torn writes, and pipelined
@@ -11,7 +10,6 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,13 +64,7 @@ fn spawn_http(
     transport: &str,
     config: TransportConfig,
 ) -> (Arc<PredictionServer>, SocketAddr, SocketAddr) {
-    let server = Arc::new(PredictionServer::start(
-        model(),
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
-    ));
+    let server = Arc::new(PredictionServer::with_defaults(model()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("frame port");
     let http = TcpListener::bind("127.0.0.1:0").expect("http port");
     let addr = listener.local_addr().expect("frame addr");
@@ -347,8 +339,8 @@ fn http_predict_is_byte_identical_to_json_wire() {
 }
 
 /// The counter invariants the stats plane promises, on every transport
-/// and wire: hits + misses == requests, per-shard work sums to
-/// requests, and the (wire, endpoint) histograms account for every
+/// and wire: every query counts once in `requests`, globally and per
+/// model, and the (wire, endpoint) histograms account for every
 /// wire-served query exactly once.
 #[test]
 fn counter_invariants_hold_across_transport_and_wire_matrix() {
@@ -361,8 +353,7 @@ fn counter_invariants_hold_across_transport_and_wire_matrix() {
             };
             let mut client = Client::connect_with(addr, format).expect("connect");
 
-            // 12 singles over 3 distinct keys (repeats exercise both
-            // cache layers) + 2 batches of 5.
+            // 12 singles over 3 distinct keys + 2 batches of 5.
             for i in 0..12u8 {
                 client
                     .predict(&Query::new(Ip::from_octets(10, 1, i % 3, 1)).with_open([80]))
@@ -379,17 +370,6 @@ fn counter_invariants_hold_across_transport_and_wire_matrix() {
             let stats = server.stats();
             let label = format!("{transport}/{wire}");
             assert_eq!(stats.requests, 12 + 10, "{label}: request count");
-            assert_eq!(
-                stats.cache_hits + stats.cache_misses,
-                stats.requests,
-                "{label}: hits + misses == requests"
-            );
-            assert!(stats.l1_hits <= stats.cache_hits, "{label}: l1 subset");
-            assert_eq!(
-                stats.per_shard.iter().sum::<u64>(),
-                stats.requests,
-                "{label}: per-shard sums to requests"
-            );
 
             // Histograms: every wire-served query lands in exactly one
             // (wire, endpoint) predict cell; admin traffic lands in the
@@ -431,11 +411,6 @@ fn counter_invariants_hold_across_transport_and_wire_matrix() {
             assert_eq!(
                 model_stats.requests, stats.requests,
                 "{label}: model requests"
-            );
-            assert_eq!(
-                model_stats.cache_hits + model_stats.cache_misses,
-                model_stats.requests,
-                "{label}: model hits + misses"
             );
         }
     }
@@ -485,14 +460,6 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
 
         let after = server.stats();
         assert_eq!(after.requests, 0, "{door}: requests zeroed");
-        assert_eq!(after.cache_hits, 0, "{door}: hits zeroed");
-        assert_eq!(after.cache_misses, 0, "{door}: misses zeroed");
-        assert_eq!(after.l1_hits, 0, "{door}: l1 zeroed");
-        assert_eq!(
-            after.per_shard.iter().sum::<u64>(),
-            0,
-            "{door}: shards zeroed"
-        );
         assert_eq!(
             after.merged_hist(None, Some("single")).count,
             0,
@@ -660,142 +627,86 @@ fn http_gateway_survives_adversarial_clients() {
 }
 
 /// The structured query log records one parseable line per wire-served
-/// request with honest wire/endpoint/cache labels — and feeding that
-/// log back as a warm source makes the first query of a fresh server
-/// (and the first query after a hot reload) a cache hit.
+/// request with honest wire/endpoint labels, the evidence as answered
+/// (sorted, deduplicated, `top` defaulted), and the generation of the
+/// model epoch that computed the answer — 0 before a hot reload, 1 after.
 #[test]
-fn query_log_records_and_warm_replay_preheats_caches() {
+fn query_log_records_requests_with_the_computing_generation() {
     let dir = TestDir::new("serve-observability-log");
     let log_path = dir.path("queries.log");
     let snapshot_path = dir.path("model.gpsb");
     snapshot().save_binary(&snapshot_path).expect("export");
 
-    // Phase 1: a logging server takes traffic over all three doors.
-    {
-        let (server, addr, http_addr) = spawn_http("events", TransportConfig::default());
-        assert!(server.set_query_log(Arc::new(QueryLog::open(&log_path).expect("open query log"))));
+    let (server, addr, http_addr) = spawn_http("events", TransportConfig::default());
+    assert!(server.set_query_log(Arc::new(QueryLog::open(&log_path).expect("open query log"))));
+    server.set_model_path(&snapshot_path);
 
-        let query = Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]);
-        let mut json = Client::connect_with(addr, WireFormat::Json).expect("json connect");
-        json.predict(&query).expect("json predict"); // miss
-        json.predict(&query).expect("json predict"); // hit
-        let mut binary = Client::connect_with(addr, WireFormat::Binary).expect("gpsq connect");
-        binary
-            .predict(&Query::new(Ip::from_octets(10, 7, 7, 7)).with_open([80]))
-            .expect("gpsq predict");
-        json.predict_batch(&[
-            Query::new(Ip::from_octets(10, 5, 5, 5)).with_open([80]),
-            Query::new(Ip::from_octets(10, 6, 6, 6)),
-        ])
-        .expect("batch predict");
-        let mut http = TcpStream::connect(http_addr).expect("http connect");
-        let (status, _, _) = post(&mut http, "/predict", r#"{"ip":"10.8.8.8","open":[80]}"#);
-        assert_eq!(status, 200);
+    let query = Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80, 22, 80]);
+    let mut json = Client::connect_with(addr, WireFormat::Json).expect("json connect");
+    json.predict(&query).expect("json predict");
+    json.predict(&query).expect("json predict");
+    let mut binary = Client::connect_with(addr, WireFormat::Binary).expect("gpsq connect");
+    binary
+        .predict(&Query::new(Ip::from_octets(10, 7, 7, 7)).with_open([80]))
+        .expect("gpsq predict");
+    json.predict_batch(&[
+        Query::new(Ip::from_octets(10, 5, 5, 5)).with_open([80]),
+        Query::new(Ip::from_octets(10, 6, 6, 6)),
+    ])
+    .expect("batch predict");
+    let mut http = TcpStream::connect(http_addr).expect("http connect");
+    let (status, _, _) = post(&mut http, "/predict", r#"{"ip":"10.8.8.8","open":[80]}"#);
+    assert_eq!(status, 200);
+    // A hot reload, then one more request: computed by generation 1.
+    assert_eq!(json.reload(None).expect("wire reload").generation, 1);
+    binary
+        .predict(&Query::new(Ip::from_octets(10, 7, 7, 8)).with_open([80]))
+        .expect("post-reload predict");
 
-        // The writer thread flushes on a short interval; poll the file.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let records = loop {
-            let text = std::fs::read_to_string(&log_path).unwrap_or_default();
-            let lines: Vec<String> = text.lines().map(str::to_string).collect();
-            if lines.len() >= 5 {
-                break lines;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "query log never reached 5 records: {text:?}"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        };
-
-        let parsed: Vec<QueryLogRecord> = records
-            .iter()
-            .map(|line| {
-                let json = Json::parse(line).expect("log line json");
-                QueryLogRecord::from_json(&json).expect("log line schema")
-            })
-            .collect();
-        assert_eq!(parsed.len(), 5, "one record per request");
-        for record in &parsed {
-            assert_eq!(record.model, "default");
-            assert_eq!(record.generation, 0);
-            assert!(record.ts_ms > 0, "wall-clock timestamp");
-            assert!(
-                matches!(record.cache.as_str(), "l1" | "shard" | "miss" | "mixed"),
-                "cache label {:?}",
-                record.cache
-            );
+    // The writer thread flushes on a short interval; poll the file.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let records = loop {
+        let text = std::fs::read_to_string(&log_path).unwrap_or_default();
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        if lines.len() >= 6 {
+            break lines;
         }
-        let label_of = |wire: &str, endpoint: &str| {
-            parsed
-                .iter()
-                .filter(|r| r.wire == wire && r.endpoint == endpoint)
-                .count()
-        };
-        assert_eq!(label_of("json", "single"), 2, "json singles logged");
-        assert_eq!(label_of("gpsq", "single"), 1, "gpsq single logged");
-        assert_eq!(label_of("json", "batch"), 1, "batch logged once");
-        assert_eq!(label_of("http", "single"), 1, "http single logged");
-        let repeat: Vec<&QueryLogRecord> = parsed
+        assert!(
+            Instant::now() < deadline,
+            "query log never reached 6 records: {text:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+
+    let parsed: Vec<QueryLogRecord> = records
+        .iter()
+        .map(|line| {
+            let json = Json::parse(line).expect("log line json");
+            QueryLogRecord::from_json(&json).expect("log line schema")
+        })
+        .collect();
+    assert_eq!(parsed.len(), 6, "one record per request");
+    for (line, record) in records.iter().zip(&parsed) {
+        assert_eq!(record.model, "default");
+        assert!(record.ts_ms > 0, "wall-clock timestamp");
+        assert!(!line.contains("\"cache\""), "no cache field: {line}");
+    }
+    let generations: Vec<u64> = parsed.iter().map(|r| r.generation).collect();
+    assert_eq!(generations, vec![0, 0, 0, 0, 0, 1], "computing generation");
+    let label_of = |wire: &str, endpoint: &str| {
+        parsed
             .iter()
-            .filter(|r| r.wire == "json" && r.endpoint == "single")
-            .collect();
-        assert_eq!(repeat[0].cache, "miss", "first sight is a miss");
-        assert_ne!(repeat[1].cache, "miss", "second sight is a hit");
-        assert_eq!(repeat[0].open, vec![80u16], "evidence recorded");
-    }
-
-    // Phase 2: a fresh server warm-replays that log; its first real
-    // query is a cache hit end to end.
-    {
-        let (server, addr, _http) = spawn_http("events", TransportConfig::default());
-        let replayed = server
-            .warm_replay(Path::new(&log_path), None)
-            .expect("warm replay");
-        assert!(
-            replayed >= 4,
-            "distinct keys replayed (got {replayed}; the repeated json single dedups)"
-        );
-        let after_replay = server.stats();
-
-        let mut client = Client::connect(addr).expect("connect");
-        client
-            .predict(&Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]))
-            .expect("first real query");
-        let stats = server.stats();
-        assert_eq!(
-            stats.cache_hits,
-            after_replay.cache_hits + 1,
-            "first post-warm query is a cache hit"
-        );
-        assert_eq!(
-            stats.cache_misses, after_replay.cache_misses,
-            "no fresh miss after warm replay"
-        );
-
-        // Phase 3: hot reload wipes the caches but the warm source is
-        // replayed inside publish, so the first post-reload query is a
-        // hit too.
-        server.set_model_path(&snapshot_path);
-        server.set_warm_source(&log_path);
-        client.reload(None).expect("wire reload");
-        let after_reload = server.stats();
-        assert_eq!(after_reload.generation, 1, "reload happened");
-        assert!(
-            after_reload.cache_misses > stats.cache_misses,
-            "post-reload replay recomputes (caches were invalidated)"
-        );
-        client
-            .predict(&Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]))
-            .expect("first post-reload query");
-        let final_stats = server.stats();
-        assert_eq!(
-            final_stats.cache_hits,
-            after_reload.cache_hits + 1,
-            "first post-reload query is a cache hit"
-        );
-        assert_eq!(
-            final_stats.cache_misses, after_reload.cache_misses,
-            "no fresh miss after post-reload warm replay"
-        );
-    }
+            .filter(|r| r.wire == wire && r.endpoint == endpoint)
+            .count()
+    };
+    assert_eq!(label_of("json", "single"), 2, "json singles logged");
+    assert_eq!(label_of("gpsq", "single"), 2, "gpsq singles logged");
+    assert_eq!(label_of("json", "batch"), 1, "batch logged once");
+    assert_eq!(label_of("http", "single"), 1, "http single logged");
+    assert_eq!(parsed[0].open, vec![22u16, 80], "evidence as answered");
+    assert_eq!(
+        parsed[0].top,
+        ServeConfig::default().default_top,
+        "top as answered"
+    );
 }
